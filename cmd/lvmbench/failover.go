@@ -8,6 +8,7 @@ import (
 	"lvm/internal/core"
 	"lvm/internal/dsm"
 	"lvm/internal/fault"
+	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/lvmd"
 	"lvm/internal/ramdisk"
@@ -30,14 +31,17 @@ const (
 	migrateSegID    = uint64(1)
 )
 
-// promoteBench builds a primary/replica pair over the mem transport,
-// establishes an acked watermark, writes an unshipped tail, promotes at
-// the watermark and re-seeds a serving primary from the promoted image.
-// The pause is the host wall-clock from freeze to a verified takeover —
-// informational; the hard gate inputs are promote_ok (watermark exact,
-// loss exactly head−watermark, takeover converges) recorded here.
+// promoteBench builds a primary/replica pair over the mem transport
+// with the primary's lease on a manual clock, establishes an acked
+// watermark, writes an unshipped tail, lets the lease run out, promotes
+// through lvmd.Failover — the standby daemon's promotion path — and re-seeds a
+// serving primary from the promoted image. The pause is the host
+// wall-clock from promotion to a verified takeover — informational; the
+// hard gate input is promote_ok (watermark exact, takeover serves the
+// granted epoch and converges) recorded here.
 func promoteBench(r *benchReport) error {
 	const markerLimit = 16
+	const leaseTTL = 1000 // manual-clock ticks
 	ln, dial := logship.NewMemTransport()
 	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
 	p := sys.NewProcess(0, sys.NewAddressSpace())
@@ -52,7 +56,17 @@ func promoteBench(r *benchReport) error {
 		return err
 	}
 	rep.TrackMarkers(markerLimit)
+	clk := lease.NewManual(0)
+	fo := lvmd.NewFailover(clk, leaseTTL, rep)
 	if err := rep.Connect(); err != nil {
+		return err
+	}
+	// The primary announces its lease before the workload: the beat is
+	// queued ahead of every batch, so once the workload is acked the
+	// replica's monitor has heard it.
+	engaged, acked := ship.LeaseEvidence()
+	beat, _ := lease.NewHolder(clk, leaseTTL, ship.Epoch()).Renew(engaged, acked)
+	if err := ship.Heartbeat(beat); err != nil {
 		return err
 	}
 
@@ -87,18 +101,19 @@ func promoteBench(r *benchReport) error {
 		txn()
 	}
 	head := recs
+	clk.Advance(leaseTTL + 1) // the primary is dead: its lease runs out
 
 	t0 := time.Now()
-	a := &logship.Authority{Cur: logship.Grant{Epoch: 1, Token: 0x1D}}
-	res, err := logship.Promote(a, rep, "bench", head, logship.PromoteHooks{})
+	boot, err := fo.Promote(logship.PromoteHooks{})
 	if err != nil {
 		return err
 	}
 	ln2, dial2 := logship.NewMemTransport()
-	pr, err := logship.Takeover(rep.Image(), res.Grant, res.Watermark, ln2, logship.TakeoverConfig{
-		Disk: ramdisk.New(),
-		Ship: logship.Config{FlushRecords: 8},
-	})
+	pr, err := logship.Takeover(boot[0].Img, logship.Grant{Epoch: boot[0].Epoch}, rep.LastSeq(), ln2,
+		logship.TakeoverConfig{
+			Disk: ramdisk.New(),
+			Ship: logship.Config{FlushRecords: 8},
+		})
 	if err != nil {
 		return err
 	}
@@ -132,11 +147,10 @@ func promoteBench(r *benchReport) error {
 	converged := dsm.Verify(pr.Seg, r2.Consumer(), failoverSegSize) == nil
 
 	f := &r.Failover
-	f.PromoteWatermark = res.Watermark
-	f.PromoteLost = res.Lost
+	f.PromoteWatermark = rep.LastSeq()
+	f.PromoteLost = head - rep.LastSeq()
 	f.PromoteMS = float64(pause.Nanoseconds()) / 1e6
-	f.PromoteOK = res.Watermark == watermark && res.Lost == head-watermark &&
-		pr.Ship.Epoch() == res.Grant.Epoch && converged
+	f.PromoteOK = rep.LastSeq() == watermark && pr.Ship.Epoch() == boot[0].Epoch && converged
 	return nil
 }
 

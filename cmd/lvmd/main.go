@@ -23,7 +23,7 @@
 //
 // Standby (failover):
 //
-//	lvmd -standby -upstream 127.0.0.1:7420 -addr 127.0.0.1:7421 -dir /var/lib/lvmd-b
+//	lvmd -standby -upstream 127.0.0.1:7420 -addr 127.0.0.1:7421 -dir /var/lib/lvmd-b -lease-ms 5000
 //
 // follows a primary with one subscribed replica per shard. With
 // -lease-ms N on both sides, the primary heartbeats an N-millisecond
@@ -37,9 +37,9 @@
 // rule assumes this topology — one promotable standby per primary; a
 // standby that unsubscribes for good also demotes the primary within
 // one TTL, which is the honest reading of losing your only witness.
-// SIGUSR1 still promotes manually (it is
-// deprecated once leases are configured): every replica rolls back to
-// its last transaction boundary and the promoted images start serving
+// Lease expiry is the only promotion trigger, so -standby requires
+// -lease-ms > 0. Promotion (lvmd.Failover) rolls every replica back to
+// its last transaction boundary, and the promoted images start serving
 // on this daemon's own address, fenced one epoch above the dead
 // primary. With the primary running -sync-replicas (the batch fence
 // waits for replica acks before the commit is acknowledged), the
@@ -79,7 +79,7 @@ func main() {
 		syncRep  = flag.Bool("sync-replicas", false, "batch fence waits for replica acks: acked implies replicated")
 		standby  = flag.Bool("standby", false, "follow -upstream as a promotable standby")
 		upstream = flag.String("upstream", "", "primary address to follow in -standby mode")
-		leaseMS  = flag.Int("lease-ms", 0, "serving-lease TTL in milliseconds (0 = off): the primary heartbeats it to subscribers and demotes itself if it cannot renew; a standby promotes itself when it expires")
+		leaseMS  = flag.Int("lease-ms", 0, "serving-lease TTL in milliseconds (0 = off; -standby requires it): the primary heartbeats it to subscribers and demotes itself if it cannot renew; a standby promotes itself when it expires")
 	)
 	flag.Parse()
 
@@ -115,7 +115,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lvmd: -standby needs -upstream")
 			os.Exit(2)
 		}
-		os.Exit(runStandby(*upstream, *shards, shCfg, leaseTTL, os.Stdout, serve))
+		if leaseTTL <= 0 {
+			fmt.Fprintln(os.Stderr, "lvmd: -standby needs -lease-ms > 0: lease expiry is the only promotion trigger")
+			os.Exit(2)
+		}
+		os.Exit(runStandby(*upstream, *shards, shCfg, os.Stdout, serve))
 	}
 	os.Exit(serve(nil))
 }

@@ -14,61 +14,51 @@ import (
 	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/lvmd"
-	"lvm/internal/recovery"
 )
 
 // runStandby follows a primary lvmd: one subscribed marker-tracking
 // replica per shard, kept connected (with the bounded-retry dialer)
-// until promotion or shutdown. Two things promote:
+// until promotion or shutdown. Lease expiry is the only trigger: each
+// replica feeds a lease monitor from the heartbeat frames the primary
+// broadcasts down its subscription stream (shCfg.LeaseTTL, which main
+// requires to be positive), and when every shard's lease has run out —
+// the primary died, wedged, or was partitioned away, and by the lease
+// rule has already demoted itself — the standby promotes with no
+// operator involvement. A monitor that never heard a beat never
+// expires, so a standby that never reached its primary stays down.
 //
-//   - Lease expiry (leaseTTL > 0): each replica feeds a lease.Monitor
-//     from the heartbeat frames the primary broadcasts down its
-//     subscription streams. When every shard's lease runs out — the
-//     primary died, wedged, or was partitioned away, and by the lease
-//     rule has already demoted itself — the standby promotes with no
-//     operator involvement. A monitor that never heard a beat never
-//     expires, so a standby that never reached its primary stays down.
-//
-//   - SIGUSR1 (deprecated): the operator signal from the pre-lease era.
-//     It still works — an operator who knows the primary is dead should
-//     not have to wait out a TTL — but with leases configured it earns
-//     a deprecation warning.
-//
-// Promotion rolls every shard replica back to its last transaction
-// boundary and promotes it at its acked watermark; the promoted images
-// boot a serving daemon on this process's own address and data
-// directory, fenced one epoch above the dead primary. With the primary
-// running -sync-replicas, an acknowledged commit implies a replicated
-// commit, so the promoted daemon holds every acked write: a saved
-// lvmload model replays against it with zero mismatches.
+// Promotion goes through lvmd.Failover, the code the failover crash
+// templates prove: every shard replica rolls back to its last
+// transaction boundary and is promoted at its acked watermark, and the
+// promoted images boot a serving daemon on this process's own address
+// and data directory, fenced one epoch above the dead primary. With the
+// primary running -sync-replicas, an acknowledged commit implies a
+// replicated commit, so the promoted daemon holds every acked write: a
+// saved lvmload model replays against it with zero mismatches.
 // SIGTERM/SIGINT exits without promoting.
-func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL time.Duration,
+func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig,
 	out io.Writer, serve func(boot []lvmd.BootShard) int) int {
 	arenaSize, err := shCfg.Core.ArenaSize()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lvmd: %v\n", err)
 		return 1
 	}
-	reps := make([]*logship.Replica, shards)
-	mons := make([]*lease.Monitor, 0, shards)
-	var stop atomic.Bool
 	dialStop := make(chan struct{}) // cancels retry schedules mid-backoff
-	var wg sync.WaitGroup
+	reps := make([]*logship.Replica, shards)
 	for i := range reps {
 		dial := lvmd.SubscribeDialer(
 			logship.TCPDialerWith(upstream, logship.RetryConfig{Stop: dialStop}), uint32(i))
-		r, err := logship.NewReplica(dial, arenaSize)
-		if err != nil {
+		if reps[i], err = logship.NewReplica(dial, arenaSize); err != nil {
 			fmt.Fprintf(os.Stderr, "lvmd: shard %d replica: %v\n", i, err)
 			return 1
 		}
-		r.TrackMarkers(lvmd.MarkerLimit)
-		if leaseTTL > 0 {
-			m := lease.NewMonitor(lease.Wall{}, lease.Ticks(leaseTTL))
-			mons = append(mons, m)
-			r.TrackLease(m.Observe)
-		}
-		reps[i] = r
+		reps[i].TrackMarkers(lvmd.MarkerLimit)
+	}
+	fo := lvmd.NewFailover(lease.Wall{}, lease.Ticks(shCfg.LeaseTTL), reps...)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, r := range reps {
 		wg.Add(1)
 		go func(r *logship.Replica) {
 			defer wg.Done()
@@ -103,94 +93,40 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 		}(r)
 	}
 
-	// The signal handler is installed before the banner prints, so a test
-	// (or operator script) that waits for the banner may signal safely.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGUSR1, syscall.SIGTERM, syscall.SIGINT)
-
-	leaseCh := make(chan struct{})
-	watchStop := make(chan struct{})
-	if leaseTTL > 0 {
-		go func() {
-			iv := leaseTTL / 4
-			if iv <= 0 {
-				iv = time.Millisecond
-			}
-			t := time.NewTicker(iv)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					expired := 0
-					for _, m := range mons {
-						// Expired requires heard: promotion arms per shard
-						// only once that shard's primary proved itself on
-						// this very stream.
-						if m.Expired() {
-							expired++
-						}
-					}
-					if expired == len(mons) {
-						close(leaseCh)
-						return
-					}
-				case <-watchStop:
-					return
-				}
-			}
-		}()
-		fmt.Fprintf(out, "lvmd: standby lease detection armed (ttl=%v): expiry promotes automatically\n", leaseTTL)
+	// The signal handler is installed before the banners print, so a test
+	// (or operator script) that waits for a banner may signal safely.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	stopFollowing := func() {
+		signal.Stop(sig)
+		stop.Store(true)
+		close(dialStop)
+		wg.Wait()
 	}
+	tick := time.NewTicker(max(shCfg.LeaseTTL/4, time.Millisecond))
+	defer tick.Stop()
+	fmt.Fprintf(out, "lvmd: standby lease detection armed (ttl=%v): expiry promotes automatically\n", shCfg.LeaseTTL)
 	fmt.Fprintf(out, "lvmd: standby following %s with %d shard replicas\n", upstream, shards)
 
-	var got os.Signal
-	leaseFired := false
-	select {
-	case got = <-sig:
-	case <-leaseCh:
-		leaseFired = true
-	}
-	signal.Stop(sig)
-	close(watchStop)
-	stop.Store(true)
-	close(dialStop)
-	wg.Wait()
-
-	switch {
-	case leaseFired:
-		fmt.Fprintln(out, "lvmd: primary lease expired on every shard: promoting automatically")
-	case got == syscall.SIGUSR1:
-		if leaseTTL > 0 {
-			fmt.Fprintln(out, "lvmd: warning: SIGUSR1 promotion is deprecated; a -lease-ms standby promotes itself on lease expiry")
+	for !fo.Expired() {
+		select {
+		case <-sig:
+			stopFollowing()
+			fmt.Fprintln(out, "lvmd: standby exiting without promotion")
+			return 0
+		case <-tick.C:
 		}
-	default:
-		fmt.Fprintln(out, "lvmd: standby exiting without promotion")
-		return 0
 	}
-
-	// Promote every shard at its acked watermark. The authority is local:
-	// the lease expiry (or the operator's signal) IS the coordination in
-	// this topology (one standby per primary); the grant still bumps the
-	// epoch so the promoted shippers fence zombie-generation subscribers.
-	boot := make([]lvmd.BootShard, shards)
-	for i, r := range reps {
-		a := &logship.Authority{Cur: logship.Grant{Epoch: r.Epoch(), Token: 1}}
-		res, err := logship.Promote(a, r, fmt.Sprintf("standby-%d", i), 0, logship.PromoteHooks{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lvmd: shard %d promotion: %v\n", i, err)
-			return 1
-		}
-		img := r.Image()
-		seq := le32(img) &^ recovery.MarkerCommit
-		stamp := seq | recovery.MarkerCommit
-		img[0], img[1], img[2], img[3] = byte(stamp), byte(stamp>>8), byte(stamp>>16), byte(stamp>>24)
-		boot[i] = lvmd.BootShard{Img: img, Seq: seq, Epoch: res.Grant.Epoch}
+	stopFollowing()
+	fmt.Fprintln(out, "lvmd: primary lease expired on every shard: promoting automatically")
+	boot, err := fo.Promote(logship.PromoteHooks{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lvmd: %v\n", err)
+		return 1
+	}
+	for i, b := range boot {
 		fmt.Fprintf(out, "lvmd: shard %d promoted at watermark %d (seq=%d epoch=%d rolled=%d)\n",
-			i, res.Watermark, seq, res.Grant.Epoch, res.RolledBack)
+			i, reps[i].LastSeq(), b.Seq, b.Epoch, reps[i].Stats.RolledBack.Load())
 	}
 	return serve(boot)
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

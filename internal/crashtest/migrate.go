@@ -200,14 +200,7 @@ func runMigrate(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		}
 		rimg := make([]byte, arenaSize)
 		dseg.ReadInto(0, rimg)
-		seq := rr.Result.LastSeq
-		if imgSeq := le32(rimg) &^ recovery.MarkerCommit; imgSeq > seq {
-			seq = imgSeq
-		}
-		// Stamp a committed marker so the rebooted core resumes cleanly.
-		rimg[0], rimg[1], rimg[2], rimg[3] = byte(seq|recovery.MarkerCommit),
-			byte((seq|recovery.MarkerCommit)>>8), byte((seq|recovery.MarkerCommit)>>16),
-			byte((seq|recovery.MarkerCommit)>>24)
+		seq := lvmd.StampMarker(rimg, rr.Result.LastSeq)
 		return lvmd.NewCore(lvmd.CoreConfig{
 			Slots: slots, SlotSize: slotSize,
 			LogPages: uint32(6*txns*t.maxBatch*16/int(core.PageSize)) + 16,

@@ -1,17 +1,20 @@
 // Package lease adds automatic failure detection to the failover stack:
 // a serving lease the primary must renew within a bounded interval, and
-// a standby-side monitor that promotes when renewals stop — replacing
-// the operator's SIGUSR1 with the classic lease / fencing-token pattern.
+// a standby-side monitor that reports when renewals stop — the only
+// promotion trigger, following the classic lease / fencing-token
+// pattern.
 //
-// A lease grant is just an epoch grant with a deadline. The Authority
-// here wraps logship.Authority: acquiring a lease prepares and commits a
-// fencing grant (bumping the epoch), so the persisted-epoch machinery —
-// ErrFenced on a stale welcome, FencedHellos on a future-epoch hello,
-// the checkpointed serving epoch that survives restart — is what keeps a
-// paused-then-resumed primary from ever splitting the brain. Renewal is
-// cheap and grant-free: the holder broadcasts logship heartbeat frames
-// (logship.Beat) down the same subscription stream that ships log
-// batches, and each standby re-arms its expiry deadline at receipt.
+// A lease is an epoch plus a deadline. The primary's Holder renews it
+// by broadcasting logship heartbeat frames (logship.Beat) down the same
+// subscription stream that ships log batches, and each standby's
+// Monitor re-arms its expiry deadline at receipt. When every shard's
+// monitor has expired, lvmd.Failover promotes: the logship.Promote
+// handshake commits a fencing grant one epoch up, so the persisted-
+// epoch machinery — ErrFenced on a stale welcome, FencedHellos on a
+// future-epoch hello, the checkpointed serving epoch that survives
+// restart — is what keeps a paused-then-resumed primary from ever
+// splitting the brain. Promotion while a lease is current refuses with
+// ErrHeld.
 //
 // The safety argument needs no clock synchronization, only comparable
 // clock *rates*, and it has two halves — one per failure shape:
@@ -52,7 +55,6 @@ package lease
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -116,114 +118,10 @@ func (m *Manual) Advance(d uint64) {
 	m.mu.Unlock()
 }
 
-// Lease errors.
-var (
-	// ErrHeld refuses an acquisition while another holder's lease is
-	// still current.
-	ErrHeld = errors.New("lease: held by another primary")
-	// ErrExpired refuses a renewal past the deadline: the holder must
-	// re-acquire, which bumps the epoch and fences its old grant.
-	ErrExpired = errors.New("lease: expired")
-	// ErrNotHolder refuses a renewal by anyone but the current holder.
-	ErrNotHolder = errors.New("lease: not the holder")
-)
-
-// Authority is the deterministic lease authority: logship's promotion
-// Authority plus a deadline. Exactly one unexpired grant exists at any
-// moment; acquiring after expiry commits a fresh grant through
-// Epochs.CommitGrant, so the new lease and the fencing epoch are the
-// same atomic step. Like logship.Authority it is tiny, single-threaded
-// coordinator state — durable by contract in the crash tests.
-type Authority struct {
-	// Epochs is the underlying fencing-grant authority; its current
-	// grant is the lease's token.
-	Epochs *logship.Authority
-
-	clock   Clock
-	ttl     uint64
-	holder  string
-	expiry  uint64
-	granted bool
-}
-
-// NewAuthority wraps epochs with lease semantics: grants expire ttl
-// ticks after acquisition or last renewal.
-func NewAuthority(epochs *logship.Authority, clock Clock, ttl uint64) *Authority {
-	return &Authority{Epochs: epochs, clock: clock, ttl: ttl}
-}
-
-// Acquire grants holder the serving lease. A first acquisition or one
-// after expiry prepares and commits a fresh fencing grant (epoch bump:
-// the previous holder's grant stops validating here); re-acquiring an
-// unexpired lease by the same holder just pushes the deadline and keeps
-// the grant. Another holder's unexpired lease refuses with ErrHeld.
-func (a *Authority) Acquire(holder string) (logship.Grant, error) {
-	now := a.clock.Now()
-	if a.granted && now <= a.expiry {
-		if a.holder != holder {
-			return logship.Grant{}, fmt.Errorf("%w: %q holds until tick %d", ErrHeld, a.holder, a.expiry)
-		}
-		a.expiry = now + a.ttl
-		return a.Epochs.Cur, nil
-	}
-	a.Epochs.Prepare(holder)
-	g, err := a.Epochs.CommitGrant()
-	if err != nil {
-		return logship.Grant{}, err
-	}
-	a.holder = holder
-	a.expiry = now + a.ttl
-	a.granted = true
-	return g, nil
-}
-
-// Renew pushes the deadline of an unexpired lease. The grant must be
-// current (a superseded grant is a zombie and refuses with ErrNotHolder)
-// and the deadline not yet passed (a late renewal refuses with
-// ErrExpired — the holder must re-Acquire, burning an epoch, so anything
-// it did after the deadline is fenced by its stale grant).
-func (a *Authority) Renew(holder string, g logship.Grant) (uint64, error) {
-	if !a.granted || a.holder != holder || !a.Epochs.Validate(g) {
-		return 0, fmt.Errorf("%w: renewal by %q epoch %d", ErrNotHolder, holder, g.Epoch)
-	}
-	now := a.clock.Now()
-	if now > a.expiry {
-		return 0, fmt.Errorf("%w: deadline tick %d passed at %d", ErrExpired, a.expiry, now)
-	}
-	a.expiry = now + a.ttl
-	return a.expiry, nil
-}
-
-// Expired reports whether no unexpired lease is outstanding.
-func (a *Authority) Expired() bool {
-	return !a.granted || a.clock.Now() > a.expiry
-}
-
-// Holder reports the current holder and whether its lease is unexpired.
-func (a *Authority) Holder() (string, bool) {
-	return a.holder, a.granted && a.clock.Now() <= a.expiry
-}
-
-// AutoPromote is the no-operator promotion rule: run the existing
-// logship.Promote handshake if and only if the serving lease has
-// expired. The grant Promote commits through Epochs is adopted as the
-// candidate's new lease, so detection, fencing, and the new serving
-// grant are one state machine. Idempotent like Promote itself: a crash
-// at any phase leaves the lease expired (adoption is the last step), so
-// running AutoPromote again finishes the job.
-func (a *Authority) AutoPromote(r *logship.Replica, cand string, deadHead uint64, hooks logship.PromoteHooks) (logship.PromoteResult, error) {
-	if !a.Expired() {
-		return logship.PromoteResult{}, fmt.Errorf("%w: refusing automatic promotion of %q", ErrHeld, cand)
-	}
-	res, err := logship.Promote(a.Epochs, r, cand, deadHead, hooks)
-	if err != nil {
-		return res, err
-	}
-	a.holder = cand
-	a.expiry = a.clock.Now() + a.ttl
-	a.granted = true
-	return res, nil
-}
+// ErrHeld refuses a promotion while the serving lease is still current
+// (or was never heard): a slow primary is not a dead primary until its
+// lease says so. lvmd.Failover.Promote returns it.
+var ErrHeld = errors.New("lease: held by another primary")
 
 // Holder is the primary-side lease state machine: it turns renewal
 // attempts into heartbeat frames and self-demotes when it cannot prove

@@ -1,8 +1,6 @@
 package lease
 
 import (
-	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -29,84 +27,6 @@ func TestWallClockAdvances(t *testing.T) {
 	}
 	if Ticks(time.Millisecond) != 1e6 || Ticks(-1) != 0 {
 		t.Fatalf("Ticks conversion wrong: %d, %d", Ticks(time.Millisecond), Ticks(-1))
-	}
-}
-
-func TestAuthorityAcquireRenewExpire(t *testing.T) {
-	clk := NewManual(0)
-	au := NewAuthority(&logship.Authority{}, clk, 100)
-	if !au.Expired() {
-		t.Fatal("fresh authority should report expired (no lease yet)")
-	}
-
-	g, err := au.Acquire("p1")
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if g.Epoch != 1 {
-		t.Fatalf("first grant epoch = %d, want 1", g.Epoch)
-	}
-	if au.Expired() {
-		t.Fatal("freshly granted lease reports expired")
-	}
-	if h, ok := au.Holder(); h != "p1" || !ok {
-		t.Fatalf("holder = %q/%v, want p1/true", h, ok)
-	}
-
-	// A rival cannot acquire while the lease is current.
-	if _, err := au.Acquire("p2"); !errors.Is(err, ErrHeld) {
-		t.Fatalf("rival acquire = %v, want ErrHeld", err)
-	}
-
-	// Renewal pushes the deadline without burning an epoch.
-	clk.Advance(90)
-	dl, err := au.Renew("p1", g)
-	if err != nil {
-		t.Fatalf("renew: %v", err)
-	}
-	if dl != 190 {
-		t.Fatalf("renewed deadline = %d, want 190", dl)
-	}
-	if au.Epochs.Cur.Epoch != 1 {
-		t.Fatalf("renewal bumped the epoch to %d", au.Epochs.Cur.Epoch)
-	}
-
-	// Same-holder re-acquire of an unexpired lease keeps the grant.
-	g2, err := au.Acquire("p1")
-	if err != nil || g2 != g {
-		t.Fatalf("re-acquire = %+v, %v; want original grant", g2, err)
-	}
-
-	// Past the deadline: renewal refuses, the lease reads expired.
-	clk.Advance(201)
-	if _, err := au.Renew("p1", g); !errors.Is(err, ErrExpired) {
-		t.Fatalf("late renew = %v, want ErrExpired", err)
-	}
-	if !au.Expired() {
-		t.Fatal("lease past deadline not expired")
-	}
-	if _, ok := au.Holder(); ok {
-		t.Fatal("expired lease still reports a valid holder")
-	}
-
-	// The successor acquires: fresh grant, old one stops validating.
-	g3, err := au.Acquire("p2")
-	if err != nil {
-		t.Fatalf("successor acquire: %v", err)
-	}
-	if g3.Epoch != 2 {
-		t.Fatalf("successor epoch = %d, want 2", g3.Epoch)
-	}
-	if au.Epochs.Validate(g) {
-		t.Fatal("superseded grant still validates")
-	}
-	if !au.Epochs.Validate(g3) {
-		t.Fatal("successor grant does not validate")
-	}
-
-	// The old holder's renewal with its stale grant is a zombie.
-	if _, err := au.Renew("p1", g); !errors.Is(err, ErrNotHolder) {
-		t.Fatalf("zombie renew = %v, want ErrNotHolder", err)
 	}
 }
 
@@ -324,63 +244,5 @@ func TestMonitorClampsWireTTL(t *testing.T) {
 	clk.Advance(41)
 	if !m.Expired() {
 		t.Fatal("shorter wire TTL not honored")
-	}
-}
-
-func TestAutoPromoteOnlyAfterExpiry(t *testing.T) {
-	clk := NewManual(0)
-	au := NewAuthority(&logship.Authority{}, clk, 100)
-	g, err := au.Acquire("primary")
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-
-	// Promotion itself runs disconnected; the replica never dials.
-	r, err := logship.NewReplica(func() (net.Conn, error) { return nil, errors.New("unused") }, 4096)
-	if err != nil {
-		t.Fatalf("replica: %v", err)
-	}
-
-	// Held lease: automatic promotion refuses.
-	if _, err := au.AutoPromote(r, "standby", 0, logship.PromoteHooks{}); !errors.Is(err, ErrHeld) {
-		t.Fatalf("AutoPromote under a held lease = %v, want ErrHeld", err)
-	}
-
-	// Expired lease: promotion runs, commits epoch 2, adopts the lease.
-	clk.Advance(101)
-	res, err := au.AutoPromote(r, "standby", 5, logship.PromoteHooks{})
-	if err != nil {
-		t.Fatalf("AutoPromote: %v", err)
-	}
-	if res.Grant.Epoch != g.Epoch+1 {
-		t.Fatalf("promoted epoch = %d, want %d", res.Grant.Epoch, g.Epoch+1)
-	}
-	if res.Lost != 5 {
-		t.Fatalf("lost = %d, want 5 (deadHead 5, watermark 0)", res.Lost)
-	}
-	if au.Expired() {
-		t.Fatal("adopted lease reports expired")
-	}
-	if h, ok := au.Holder(); h != "standby" || !ok {
-		t.Fatalf("holder = %q/%v, want standby/true", h, ok)
-	}
-	if au.Epochs.Validate(g) {
-		t.Fatal("old primary's grant survived the automatic promotion")
-	}
-
-	// Crash-resume shape: a failed promotion leaves the lease expired so
-	// a retry proceeds (idempotence is Promote's own property).
-	clk.Advance(101)
-	boom := errors.New("crash")
-	if _, err := au.AutoPromote(r, "standby2", 0, logship.PromoteHooks{
-		After: func(phase string) error { return boom },
-	}); !errors.Is(err, boom) {
-		t.Fatalf("crashed AutoPromote = %v, want injected error", err)
-	}
-	if !au.Expired() {
-		t.Fatal("crashed promotion adopted the lease anyway")
-	}
-	if _, err := au.AutoPromote(r, "standby2", 0, logship.PromoteHooks{}); err != nil {
-		t.Fatalf("AutoPromote retry: %v", err)
 	}
 }

@@ -597,20 +597,27 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	info.RecoverResult = rr
 	img := make([]byte, arenaSize)
 	dst.ReadInto(0, img)
-	// The transaction sequence resumes past both the image's marker word
-	// (the last marker the checkpoint captured) and the replayed tail.
-	info.Seq = get32(img) &^ recovery.MarkerCommit
-	if rr.LastSeq > info.Seq {
-		info.Seq = rr.LastSeq
-	}
-	// Stamp the resolved sequence back into the marker word: replay never
-	// writes protocol words into Dst, so the image would otherwise keep the
-	// marker the checkpoint captured. A generation that serves no new
-	// transactions re-checkpoints its image verbatim, and the next recovery
-	// — with an empty tail and so no LastSeq to compensate — would report
-	// the stale sequence.
-	if info.Seq != 0 {
-		put32(img, info.Seq|recovery.MarkerCommit)
-	}
+	info.Seq = StampMarker(img, rr.LastSeq)
 	return img, info, nil
+}
+
+// StampMarker makes img bootable. It resolves the transaction sequence
+// the image resumes from — the larger of its marker word (the last
+// marker the image captured) and lastSeq (the last commit a log replay
+// applied on top of it, 0 when nothing was replayed) — and stamps it
+// back into the marker word as seq|MarkerCommit, which it returns
+// without the commit bit. It stamps unconditionally, seq 0 included, so
+// every boot image carries a committed marker.
+//
+// Replay never writes protocol words into its destination, so without
+// the stamp a recovered image keeps the marker its checkpoint captured:
+// a generation that serves no new transactions re-checkpoints that image
+// verbatim, and the next recovery — with an empty tail and so no
+// LastSeq to compensate — would report the stale sequence. Recovery,
+// promotion (Failover.Promote) and the crash tests' reboots all stamp
+// through here.
+func StampMarker(img []byte, lastSeq uint32) uint32 {
+	seq := max(get32(img)&^recovery.MarkerCommit, lastSeq)
+	put32(img, seq|recovery.MarkerCommit)
+	return seq
 }

@@ -1,11 +1,117 @@
 package lvmd
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"lvm/internal/lease"
 	"lvm/internal/logship"
+	"lvm/internal/recovery"
 )
+
+// TestFailoverPromotesOnlyAfterExpiry pins lvmd.Failover on a
+// manual clock: promotion refuses with lease.ErrHeld while any shard's
+// monitor is unheard or current, every shard promotes once all have
+// expired, and a promotion killed at each handshake phase resumes with
+// the epochs the failover crash templates report — a kill before the
+// grant commits resumes at epoch 2, one after it burns epoch 2 and
+// resumes at 3. Promoted images carry a committed marker even at seq 0.
+func TestFailoverPromotesOnlyAfterExpiry(t *testing.T) {
+	const ttl = 100
+	beat := logship.Beat{Kind: logship.BeatGrant, Epoch: 1, Seq: 1, TTL: ttl}
+	want := map[string]uint32{
+		logship.PhaseFreeze: 2, logship.PhasePrepare: 2,
+		logship.PhaseCommit: 3, logship.PhaseActivate: 3,
+	}
+	for _, phase := range []string{logship.PhaseFreeze, logship.PhasePrepare,
+		logship.PhaseCommit, logship.PhaseActivate} {
+		clk := lease.NewManual(0)
+		reps := make([]*logship.Replica, 2)
+		for i := range reps {
+			// Promotion runs disconnected; these replicas never dial.
+			r, err := logship.NewReplica(func() (net.Conn, error) { return nil, errors.New("unused") }, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = r
+		}
+		fo := NewFailover(clk, ttl, reps...)
+		held := func(when string) {
+			t.Helper()
+			if fo.Expired() {
+				t.Fatalf("%s: Expired() = true", when)
+			}
+			if _, err := fo.Promote(logship.PromoteHooks{}); !errors.Is(err, lease.ErrHeld) {
+				t.Fatalf("%s: Promote = %v, want ErrHeld", when, err)
+			}
+		}
+		clk.Advance(ttl + 1)
+		held("no monitor heard a beat")
+		fo.Monitor(0).Observe(beat)
+		clk.Advance(ttl + 1)
+		held("shard 1 unheard")
+		fo.Monitor(1).Observe(beat)
+		held("shard 1 current")
+		clk.Advance(ttl + 1)
+		if !fo.Expired() {
+			t.Fatal("every lease ran out but Expired() = false")
+		}
+
+		errKill := errors.New("killed")
+		if _, err := fo.Promote(logship.PromoteHooks{After: func(ph string) error {
+			if ph == phase {
+				return errKill
+			}
+			return nil
+		}}); !errors.Is(err, errKill) {
+			t.Fatalf("kill at %s: Promote = %v, want the injected kill", phase, err)
+		}
+		boot, err := fo.Promote(logship.PromoteHooks{})
+		if err != nil {
+			t.Fatalf("resume after a kill at %s: %v", phase, err)
+		}
+		if len(boot) != 2 {
+			t.Fatalf("promoted %d shards, want 2", len(boot))
+		}
+		// The kill lands on shard 0, the first to reach the phase.
+		if boot[0].Epoch != want[phase] || boot[1].Epoch != 2 {
+			t.Fatalf("kill at %s: epochs %d/%d, want %d/2", phase, boot[0].Epoch, boot[1].Epoch, want[phase])
+		}
+		for i, b := range boot {
+			if b.Seq != 0 || get32(b.Img) != recovery.MarkerCommit {
+				t.Fatalf("shard %d: seq %d marker %#x, want a committed seq-0 marker", i, b.Seq, get32(b.Img))
+			}
+		}
+	}
+}
+
+// TestStampMarker pins the one marker stamp: the resumed sequence is the
+// larger of the image's marker and the replayed LastSeq, the commit bit
+// is always set — seq 0 included — and RecoverImage of a shard with no
+// history returns such an image.
+func TestStampMarker(t *testing.T) {
+	img := make([]byte, 8)
+	for _, c := range []struct{ marker, last, want uint32 }{
+		{0, 0, 0},
+		{5, 7, 7},                         // open marker, replay went further
+		{9 | recovery.MarkerCommit, 3, 9}, // checkpoint captured more than the replay
+	} {
+		put32(img, c.marker)
+		if got := StampMarker(img, c.last); got != c.want || get32(img) != c.want|recovery.MarkerCommit {
+			t.Fatalf("StampMarker(%#x, %d) = %d, marker %#x; want %d", c.marker, c.last, got, get32(img), c.want)
+		}
+	}
+	cfg, tail := testCfg(t, t.TempDir())
+	rimg, info, err := RecoverImage(cfg, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 0 || get32(rimg) != recovery.MarkerCommit {
+		t.Fatalf("empty-shard recovery: seq %d marker %#x, want a committed seq-0 marker", info.Seq, get32(rimg))
+	}
+}
 
 // TestPromoteFromRecoveredPrimary is the in-process shape of soak phase
 // C with the hard twist: the primary boots with PRE-EXISTING state, so
@@ -72,7 +178,8 @@ func TestPromoteFromRecoveredPrimary(t *testing.T) {
 
 	// Promote: roll each replica back to its last committed marker,
 	// stamp the commit word, and boot a fresh server from the images —
-	// the same sequence cmd/lvmd's standby mode runs on SIGUSR1.
+	// the freeze, rollback and stamp Failover.Promote runs, minus the
+	// lease gate this lease-less primary never arms.
 	boot := make([]BootShard, 2)
 	for i, r := range reps {
 		r.Kill()
@@ -83,9 +190,7 @@ func TestPromoteFromRecoveredPrimary(t *testing.T) {
 			t.Fatalf("replica %d seeded without a snapshot: recovered state was never shipped", i)
 		}
 		img := r.Image()
-		seq := get32(img) &^ 0x80000000
-		put32(img, seq|0x80000000)
-		boot[i] = BootShard{Img: img, Seq: seq, Epoch: r.Epoch() + 1}
+		boot[i] = BootShard{Img: img, Seq: StampMarker(img, 0), Epoch: r.Epoch() + 1}
 	}
 	srv.Drain()
 
