@@ -20,3 +20,7 @@ go vet ./...
 # dropped errors corrupt log state (full errcheck runs in the CI lint job).
 go run ./cmd/errgate .
 go test -race -count=1 ./...
+# The benchmark driver is a module of its own (lvm/lvmdbench, replacing
+# lvm with this tree), so the root build never compiles it: vet and
+# test it here, or an internal API change breaks it unseen.
+(cd lvmdbench && go vet ./... && go test -count=1 ./...)

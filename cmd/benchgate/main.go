@@ -71,8 +71,8 @@ type gateInput struct {
 		Counters      map[string]uint64 `json:"counters"`
 	} `json:"serving"`
 	// Failover is optional (older baselines predate it): when present,
-	// promotion must have landed exactly at the acked watermark
-	// (promote_ok), every write acknowledged during the live migration
+	// promotion must have landed exactly at the acked watermark and the
+	// server booted from it must pass its checks (promote_ok), every write acknowledged during the live migration
 	// must read back through the post-cutover routes (acked_readable),
 	// and the migration's stop-and-copy pause must stay bounded — the
 	// chase phase exists precisely so the frozen window is a final
@@ -242,7 +242,7 @@ func gate(base, cand *gateInput, tolerance float64) (lines []string, ok bool) {
 	case cand.Failover == nil || cand.Failover.PromoteOK == nil:
 		lines = append(lines, "failover: candidate has no failover section (skipped)")
 	case !*cand.Failover.PromoteOK:
-		lines = append(lines, "failover promotion: watermark/loss/takeover check FAIL")
+		lines = append(lines, "failover promotion: watermark/boot check FAIL")
 		ok = false
 	case cand.Failover.AckedReadable == nil || !*cand.Failover.AckedReadable:
 		lines = append(lines, "failover migration: acked writes not readable after cutover FAIL")

@@ -96,7 +96,8 @@ type benchReport struct {
 
 	// Failover records the robustness-path measurements: promotion of a
 	// replica at its acked watermark (promote_ok demands an exact
-	// watermark, exactly-bounded loss, and a converged takeover) and a
+	// watermark, every acked word served by the server booted from the
+	// promoted image, and a replica converged on it) and a
 	// live segment migration under the client fleet (acked_readable
 	// demands every acknowledged write read back through the
 	// post-migration routes). The pauses are host wall-clock —

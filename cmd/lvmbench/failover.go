@@ -5,24 +5,19 @@ import (
 	"os"
 	"time"
 
-	"lvm/internal/core"
-	"lvm/internal/dsm"
-	"lvm/internal/fault"
-	"lvm/internal/lease"
+	"lvm/internal/crashtest"
 	"lvm/internal/logship"
 	"lvm/internal/lvmd"
-	"lvm/internal/ramdisk"
-	"lvm/internal/recovery"
 )
 
-// Failover-bench shape: part one promotes a replica of an in-process
-// producer and re-seeds a primary from it (promotion pause, watermark,
-// measured loss); part two migrates a live tenant segment between lvmd
-// shards while the lvmload fleet commits against it (convergence pause,
-// chase work, and the acked-readable proof via the fleet's own model).
+// Failover-bench shape: part one runs the failover crash-test rig once
+// (crashtest.MeasurePromotion: promotion pause, watermark, measured
+// loss, and the booted server's checks); part two migrates a live
+// tenant segment between lvmd shards while the lvmload fleet commits
+// against it (convergence pause, chase work, and the acked-readable
+// proof via the fleet's own model).
 const (
 	failoverTxns    = 256
-	failoverSegSize = 8 * core.PageSize
 	migrateShards   = 4
 	migrateClients  = 64
 	migrateSegments = 16
@@ -30,129 +25,6 @@ const (
 	migrateWarmup   = 300 * time.Millisecond
 	migrateSegID    = uint64(1)
 )
-
-// promoteBench builds a primary/replica pair over the mem transport
-// with the primary's lease on a manual clock, establishes an acked
-// watermark, writes an unshipped tail, lets the lease run out, promotes
-// through lvmd.Failover — the standby daemon's promotion path — and re-seeds a
-// serving primary from the promoted image. The pause is the host
-// wall-clock from promotion to a verified takeover — informational; the
-// hard gate input is promote_ok (watermark exact, takeover serves the
-// granted epoch and converges) recorded here.
-func promoteBench(r *benchReport) error {
-	const markerLimit = 16
-	const leaseTTL = 1000 // manual-clock ticks
-	ln, dial := logship.NewMemTransport()
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
-	p := sys.NewProcess(0, sys.NewAddressSpace())
-	prod, err := dsm.NewLVMProducer(sys, p, failoverSegSize, 512)
-	if err != nil {
-		return err
-	}
-	ship := logship.NewShipper(sys, prod.Segment(), prod.LogSegment(), ln, logship.Config{FlushRecords: 8})
-	defer ship.Close()
-	rep, err := logship.NewReplica(dial, failoverSegSize)
-	if err != nil {
-		return err
-	}
-	rep.TrackMarkers(markerLimit)
-	clk := lease.NewManual(0)
-	fo := lvmd.NewFailover(clk, leaseTTL, rep)
-	if err := rep.Connect(); err != nil {
-		return err
-	}
-	// The primary announces its lease before the workload: the beat is
-	// queued ahead of every batch, so once the workload is acked the
-	// replica's monitor has heard it.
-	engaged, acked := ship.LeaseEvidence()
-	beat, _ := lease.NewHolder(clk, leaseTTL, ship.Epoch()).Renew(engaged, acked)
-	if err := ship.Heartbeat(beat); err != nil {
-		return err
-	}
-
-	wr := fault.NewRNG(0xFA170)
-	seq := uint32(0)
-	recs := uint64(0)
-	txn := func() {
-		seq++
-		prod.Write(0, seq)
-		recs++
-		for j := 0; j < 4; j++ {
-			off := uint32(markerLimit) + uint32(wr.Intn((failoverSegSize-markerLimit)/4))*4
-			prod.Write(off, uint32(wr.Next()))
-			recs++
-		}
-		prod.Write(0, seq|recovery.MarkerCommit)
-		recs++
-	}
-	for i := 0; i < failoverTxns; i++ {
-		txn()
-		if i%16 == 15 {
-			if err := ship.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := ship.ReleaseShip(10 * time.Second); err != nil {
-		return err
-	}
-	watermark := recs
-	for i := 0; i < 8; i++ { // unshipped tail: the measured loss bound
-		txn()
-	}
-	head := recs
-	clk.Advance(leaseTTL + 1) // the primary is dead: its lease runs out
-
-	t0 := time.Now()
-	boot, err := fo.Promote(logship.PromoteHooks{})
-	if err != nil {
-		return err
-	}
-	ln2, dial2 := logship.NewMemTransport()
-	pr, err := logship.Takeover(boot[0].Img, logship.Grant{Epoch: boot[0].Epoch}, rep.LastSeq(), ln2,
-		logship.TakeoverConfig{
-			Disk: ramdisk.New(),
-			Ship: logship.Config{FlushRecords: 8},
-		})
-	if err != nil {
-		return err
-	}
-	defer pr.Ship.Close()
-	pause := time.Since(t0)
-
-	// The promoted primary must actually serve: a fresh replica converges
-	// on it (snapshot catch-up under the granted epoch).
-	r2, err := logship.NewReplica(dial2, failoverSegSize)
-	if err != nil {
-		return err
-	}
-	r2.TrackMarkers(markerLimit)
-	if err := r2.Connect(); err != nil {
-		return err
-	}
-	for i := 0; i < 4; i++ {
-		seq++
-		pr.P.Store32(pr.Base, seq)
-		pr.P.Store32(pr.Base+core.Addr(markerLimit), uint32(wr.Next()))
-		pr.P.Store32(pr.Base, seq|recovery.MarkerCommit)
-	}
-	pr.Sys.Sync()
-	if err := pr.Ship.Flush(); err != nil {
-		return err
-	}
-	if err := pr.Ship.ReleaseShip(10 * time.Second); err != nil {
-		return err
-	}
-	r2.Kill()
-	converged := dsm.Verify(pr.Seg, r2.Consumer(), failoverSegSize) == nil
-
-	f := &r.Failover
-	f.PromoteWatermark = rep.LastSeq()
-	f.PromoteLost = head - rep.LastSeq()
-	f.PromoteMS = float64(pause.Nanoseconds()) / 1e6
-	f.PromoteOK = rep.LastSeq() == watermark && pr.Ship.Epoch() == boot[0].Epoch && converged
-	return nil
-}
 
 // migrateBench boots the in-process daemon, points the lvmload fleet at
 // it, and migrates one live tenant segment mid-load. The convergence
@@ -236,10 +108,24 @@ func migrateBench(r *benchReport) error {
 	return nil
 }
 
+// failoverBench runs the failover crash rig's promotion once — a dead
+// lvmd shard core's replica promoted through lvmd.Failover and booted
+// with lvmd.NewServer, as the standby daemon does — then migrateBench.
+// The pause is host wall clock, informational; the hard gate input is
+// promote_ok (exact watermark, acked state served, the booted server
+// converges and serves the granted epoch).
 func failoverBench(r *benchReport) error {
-	if err := promoteBench(r); err != nil {
+	p, err := crashtest.MeasurePromotion(failoverTxns)
+	if err != nil {
 		return err
 	}
+	if !p.OK {
+		fmt.Fprintf(os.Stderr, "failover: promotion check failed: %s\n", p.Fail)
+	}
+	r.Failover.PromoteWatermark = p.Watermark
+	r.Failover.PromoteLost = p.Head - p.Watermark
+	r.Failover.PromoteMS = float64(p.Pause.Nanoseconds()) / 1e6
+	r.Failover.PromoteOK = p.OK
 	return migrateBench(r)
 }
 

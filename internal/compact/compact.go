@@ -90,12 +90,6 @@ type Options struct {
 	// Ship, when non-nil, bounds the safe truncation point by consumer
 	// acknowledgements and is told about every cut.
 	Ship Shipper
-	// CutBase seeds the logical offset of physical log byte 0 (default
-	// 0). A manager re-seeded from a promoted replica image continues
-	// the dead primary's timeline at the promotion watermark instead of
-	// restarting at zero, so checkpoint watermarks and shipped sequence
-	// numbers stay monotonic across the failover.
-	CutBase uint64
 	// Epoch seeds the fencing epoch stamped into every checkpoint header
 	// (a promotion grant). The committed epoch on disk wins if higher, so
 	// a restart can never re-serve an epoch an earlier incarnation already
@@ -149,7 +143,7 @@ func New(sys *core.System, o Options) (*Manager, error) {
 	if !o.Log.IsLog() {
 		return nil, errors.New("compact: Options.Log is not a log segment")
 	}
-	m := &Manager{sys: sys, o: o, cutBase: o.CutBase, epoch: o.Epoch}
+	m := &Manager{sys: sys, o: o, epoch: o.Epoch}
 	if o.Disk != nil {
 		if o.Data == nil {
 			return nil, errors.New("compact: checkpointing needs Options.Data")

@@ -1,18 +1,19 @@
 package crashtest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"lvm/internal/core"
-	"lvm/internal/dsm"
 	"lvm/internal/fault"
 	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/lvmd"
 	"lvm/internal/ramdisk"
-	"lvm/internal/recovery"
 )
 
 const (
@@ -26,24 +27,29 @@ const (
 	// comparison is cycle-deterministic: both executions of a plan see
 	// identical expiry decisions regardless of wall-clock scheduling.
 	leaseTTL = 1000
-
-	foSegSize     = 8 * core.PageSize
-	foMarkerLimit = 16
 )
 
-// foRig is the shared failover crash-test rig: a marker-protocol
-// producer shipping to one tracked replica, a lease holder renewing by
-// heartbeat and the replica's monitor (both on one manual clock), and
-// the lvmd.Failover every template promotes through, which is the code
-// the standby daemon runs. The primary's shipper stays reachable after
-// its "death": it is the zombie the fencing must refuse.
+// foCore sizes the rig primary's shard core and every server booted
+// from its promoted image: the lvmd arena is the one image format a
+// promotion hands over. Tuning stays off (NewCore leaves it off), so
+// each store is one log record and the rig knows its acked watermark
+// exactly. foSeg is the tenant segment the transactions commit to.
+var foCore = lvmd.CoreConfig{Slots: 2, SlotSize: 8 * core.PageSize, LogPages: 64}
+
+const foSeg = uint64(1)
+
+// foRig is the shared failover crash-test rig: an lvmd shard core
+// shipping to one tracked replica, a lease holder renewing by heartbeat
+// and the replica's monitor (both on one manual clock), and the
+// lvmd.Failover every template promotes through, which is the code the
+// standby daemon runs. The primary's shipper stays reachable after its
+// "death": it is the zombie the fencing must refuse.
 type foRig struct {
 	t      template
 	plan   fault.Plan
 	clk    *lease.Manual
 	holder *lease.Holder
-	sys    *core.System
-	prod   *dsm.LVMProducer
+	core   *lvmd.ShardCore
 	ship   *logship.Shipper
 	dial   logship.DialFunc
 	r      *logship.Replica
@@ -51,48 +57,63 @@ type foRig struct {
 	mon    *lease.Monitor
 	wr     *fault.RNG
 
-	shadow map[uint32]uint32 // acked complete-transaction state
-	recs   uint64            // records the producer logged
-	seq    uint32            // transaction sequence
+	slot   uint32            // arena offset of foSeg's slot
+	shadow map[uint32]uint32 // acked complete-transaction state, by slot offset
+	recs   uint64            // records the primary logged
 	beats  uint64            // heartbeats broadcast
 
 	verdict, note string
 }
 
-// newFoRig builds the rig, connects the replica and broadcasts the
-// grant beat. Close the shipper when done.
+// newFoRig builds the rig, opens the tenant segment, connects the
+// replica and broadcasts the grant beat. Close the shipper when done.
 func newFoRig(t template, plan fault.Plan) (*foRig, error) {
 	g := &foRig{
-		t: t, plan: plan, clk: lease.NewManual(0),
-		wr: fault.NewRNG(plan.Seed + 1), shadow: make(map[uint32]uint32), verdict: "RECOVERED",
+		t: t, plan: plan, clk: lease.NewManual(0), wr: fault.NewRNG(plan.Seed + 1),
+		shadow: make(map[uint32]uint32), verdict: "RECOVERED",
 	}
-	g.holder = lease.NewHolder(g.clk, leaseTTL, 1)
 	ln, dial := logship.NewMemTransport()
 	g.dial = dial
-	g.sys = core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
-	p := g.sys.NewProcess(0, g.sys.NewAddressSpace())
-	prod, err := dsm.NewLVMProducer(g.sys, p, foSegSize, 512)
+	cfg := foCore
+	cfg.Disk = ramdisk.New()
+	c, err := lvmd.NewCore(cfg, nil, 0)
 	if err != nil {
-		return nil, fmt.Errorf("producer err=%v", err)
+		return nil, fmt.Errorf("core err=%v", err)
 	}
-	g.prod = prod
-	g.ship = logship.NewShipper(g.sys, prod.Segment(), prod.LogSegment(), ln, logship.Config{FlushRecords: 8})
-	if g.r, err = logship.NewReplica(dial, foSegSize); err != nil {
+	g.core = c
+	// The shipper is attached the way NewShard attaches it: serving the
+	// core's election and bounding its compaction cuts.
+	g.ship = logship.NewShipper(c.Sys, c.Arena, c.LogSeg, ln, logship.Config{FlushRecords: 8, Epoch: c.Mgr.Epoch()})
+	c.SetShipper(g.ship)
+	g.holder = lease.NewHolder(g.clk, leaseTTL, g.ship.Epoch())
+	if err := g.start(); err != nil {
 		g.ship.Close()
-		return nil, fmt.Errorf("replica err=%v", err)
+		return nil, err
 	}
-	g.r.TrackMarkers(foMarkerLimit)
+	return g, nil
+}
+
+// start opens foSeg (begin marker, two directory words, commit marker),
+// connects the tracked replica and broadcasts the grant beat.
+func (g *foRig) start() error {
+	slot, _, err := g.core.Open(foSeg)
+	if err != nil {
+		return fmt.Errorf("open err=%v", err)
+	}
+	g.slot, g.recs = g.core.SlotOff(slot), 4
+	if g.r, err = logship.NewReplica(g.dial, g.core.Arena.Size()); err != nil {
+		return fmt.Errorf("replica err=%v", err)
+	}
+	g.r.TrackMarkers(lvmd.MarkerLimit)
 	g.fo = lvmd.NewFailover(g.clk, leaseTTL, g.r)
 	g.mon = g.fo.Monitor(0)
 	if err := g.r.Connect(); err != nil {
-		g.ship.Close()
-		return nil, fmt.Errorf("connect err=%v", err)
+		return fmt.Errorf("connect err=%v", err)
 	}
 	if !g.beat() {
-		g.ship.Close()
-		return nil, errors.New("first renewal refused")
+		return errors.New("first renewal refused")
 	}
-	return g, nil
+	return nil
 }
 
 // fail records the first failed check; the verdict line carries it.
@@ -109,7 +130,7 @@ func (g *foRig) outcome(fields string) (outcome, uint64) {
 	if g.note != "" {
 		line += " err=" + g.note
 	}
-	return outcome{line: line, ok: g.verdict == "RECOVERED"}, g.sys.Elapsed()
+	return outcome{line: line, ok: g.verdict == "RECOVERED"}, g.core.Sys.Elapsed()
 }
 
 // beat renews the lease and broadcasts it, reporting false once the
@@ -130,27 +151,34 @@ func (g *foRig) beat() bool {
 	return true
 }
 
+// off picks a word of the tenant slot.
 func (g *foRig) off() uint32 {
-	return foMarkerLimit + uint32(g.wr.Intn((foSegSize-foMarkerLimit)/4))*4
+	return uint32(g.wr.Intn(int(foCore.SlotSize/4))) * 4
 }
 
-// commitTxn logs one complete marker-protocol transaction; acked ones
+// writes draws one transaction's stores.
+func (g *foRig) writes(n int) []lvmd.Write {
+	ws := make([]lvmd.Write, n)
+	for j := range ws {
+		ws[j] = lvmd.Write{Off: g.off(), Val: uint32(g.wr.Next())}
+	}
+	return ws
+}
+
+// commitTxn commits one client transaction on the core; acked ones
 // enter the shadow the promoted image is diffed against.
 func (g *foRig) commitTxn(acked bool) {
-	g.seq++
-	g.prod.Write(0, g.seq)
-	g.recs++
-	n := 1 + g.wr.Intn(g.t.maxBatch)
-	for j := 0; j < n; j++ {
-		off, val := g.off(), uint32(g.wr.Next())
-		g.prod.Write(off, val)
-		if acked {
-			g.shadow[off] = val
-		}
-		g.recs++
+	ws := g.writes(1 + g.wr.Intn(g.t.maxBatch))
+	if _, err := g.core.Commit(foSeg, ws); err != nil {
+		g.fail("commit err=%v", err)
+		return
 	}
-	g.prod.Write(0, g.seq|recovery.MarkerCommit)
-	g.recs++
+	g.recs += uint64(len(ws)) + 2 // the stores and their two markers
+	if acked {
+		for _, w := range ws {
+			g.shadow[w.Off] = w.Val
+		}
+	}
 }
 
 // ackedTxns commits n transactions and releases them: every one is
@@ -172,13 +200,16 @@ func (g *foRig) ackedTxns(n int) error {
 
 // halfTxn ships a transaction's begin marker and a few stores but never
 // its commit marker (batches seal at record counts, not transaction
-// boundaries): promotion must roll it back.
+// boundaries): promotion must roll it back. ShardCore.Commit always
+// closes what it opens, so the stores go straight to the core's
+// process; the core's next transaction (the unshipped tail) reuses the
+// sequence on the dead primary only.
 func (g *foRig) halfTxn() error {
-	g.seq++
-	g.prod.Write(0, g.seq)
+	c := g.core
+	c.P.Store32(c.Base(), c.Seq()+1) // begin marker, commit bit clear
 	g.recs++
 	for j := 0; j < 1+int(g.plan.Seed%3); j++ {
-		g.prod.Write(g.off(), uint32(g.wr.Next()))
+		c.P.Store32(c.Base()+core.Addr(g.slot+g.off()), uint32(g.wr.Next()))
 		g.recs++
 	}
 	if err := g.ship.ReleaseShip(releaseWait); err != nil {
@@ -251,9 +282,9 @@ func (g *foRig) killPhase() string {
 
 // promote runs Failover.Promote killed at the seed's phase, then
 // resumes it. It checks the promoted watermark and diffs the acked
-// shadow against the promoted image, returning the boot shard and the
+// shadow against the promoted image, returning the boot shards and the
 // differing word count.
-func (g *foRig) promote(watermark uint64) (lvmd.BootShard, int, error) {
+func (g *foRig) promote(watermark uint64) ([]lvmd.BootShard, int, error) {
 	errKill := errors.New("crashtest: simulated kill")
 	kill := g.killPhase()
 	if _, err := g.fo.Promote(logship.PromoteHooks{After: func(ph string) error {
@@ -262,34 +293,41 @@ func (g *foRig) promote(watermark uint64) (lvmd.BootShard, int, error) {
 		}
 		return nil
 	}}); !errors.Is(err, errKill) {
-		return lvmd.BootShard{}, 0, fmt.Errorf("kill at %s not delivered: err=%v", kill, err)
+		return nil, 0, fmt.Errorf("kill at %s not delivered: err=%v", kill, err)
 	}
 	boot, err := g.fo.Promote(logship.PromoteHooks{})
 	if err != nil {
-		return lvmd.BootShard{}, 0, fmt.Errorf("promotion resume err=%v", err)
+		return nil, 0, fmt.Errorf("promotion resume err=%v", err)
 	}
 	if got := g.r.LastSeq(); got != watermark {
 		g.fail("watermark=%d want %d", got, watermark)
 	}
-	diffs := 0
-	for off, val := range g.shadow {
-		if le32(boot[0].Img[off:]) != val {
-			diffs++
-		}
-	}
+	diffs := g.diff(boot[0].Img[g.slot:])
 	if diffs != 0 {
 		g.fail("acked words lost diff=%d", diffs)
 	}
-	return boot[0], diffs, nil
+	return boot, diffs, nil
+}
+
+// diff counts the acked shadow words a copy of foSeg's slot lacks.
+func (g *foRig) diff(slot []byte) int {
+	n := 0
+	for off, val := range g.shadow {
+		if le32(slot[off:]) != val {
+			n++
+		}
+	}
+	return n
 }
 
 // probeZombie has a replica that learned the promoted epoch dial the
 // ex-primary: the zombie's shipper must refuse it loudly (ErrFenced, not
 // a silent hangup) and count the fenced hello, which it returns.
-func (g *foRig) probeZombie(epoch uint32) (uint64, error) {
-	r2, err := logship.NewReplica(g.dial, foSegSize)
+func (g *foRig) probeZombie(epoch uint32) uint64 {
+	r2, err := logship.NewReplica(g.dial, g.core.Arena.Size())
 	if err != nil {
-		return 0, fmt.Errorf("fence replica err=%v", err)
+		g.fail("fence replica err=%v", err)
+		return 0
 	}
 	r2.SetEpoch(epoch)
 	if ferr := r2.Connect(); !errors.Is(ferr, logship.ErrFenced) {
@@ -300,7 +338,7 @@ func (g *foRig) probeZombie(epoch uint32) (uint64, error) {
 	if fenced == 0 {
 		g.fail("zombie shipper did not count the fenced hello")
 	}
-	return fenced, nil
+	return fenced
 }
 
 // rolled checks the half-replicated transaction was rolled back. The
@@ -314,12 +352,113 @@ func (g *foRig) rolled() uint64 {
 	return n
 }
 
-// runFailover proves the promotion handshake under fire: the primary
+// checkBooted proves the booted server serves the promoted timeline,
+// then drains it: every acked word reads back through lvmd.Client,
+// client commits are acknowledged, a fresh replica subscribed with
+// SubscribeDialer converges on the booted arena (its image digests to
+// the drain manifest's), and the manifest serves the granted epoch.
+func (g *foRig) checkBooted(srv *lvmd.Server, dial logship.DialFunc, epoch uint32) {
+	img, err := g.driveBooted(dial)
+	m := srv.Drain()
+	if err != nil {
+		g.fail("booted server %v", err)
+		return
+	}
+	sh := m.Shards[0]
+	if !m.Drained {
+		g.fail("booted server drain err=%s", sh.Error)
+	}
+	if sh.Epoch != epoch {
+		g.fail("booted server epoch=%d want the granted %d", sh.Epoch, epoch)
+	}
+	if d := sha256.Sum256(img[lvmd.MarkerLimit:]); hex.EncodeToString(d[:]) != sh.Digest {
+		g.fail("fresh replica diverged from the booted server")
+	}
+}
+
+// driveBooted is checkBooted's client and subscriber side; it returns
+// the subscriber's image once every commit it saw acknowledged.
+func (g *foRig) driveBooted(dial logship.DialFunc) ([]byte, error) {
+	cl, err := lvmd.DialClient(dial)
+	if err != nil {
+		return nil, fmt.Errorf("dial err=%v", err)
+	}
+	defer cl.Close()
+	// A fresh segment opens first: a booted server that lost its slot
+	// directory would hand it foSeg's slot.
+	for _, seg := range []uint64{foSeg + 1, foSeg} {
+		if _, err := cl.Open(seg); err != nil {
+			return nil, fmt.Errorf("open err=%v", err)
+		}
+	}
+	data, err := cl.Read(foSeg, 0, foCore.SlotSize)
+	if err != nil {
+		return nil, fmt.Errorf("read err=%v", err)
+	}
+	if lost := g.diff(data); lost != 0 {
+		return nil, fmt.Errorf("lost %d acked words", lost)
+	}
+	// The subscriber starts below the booted shard's log, so it is
+	// caught up by snapshot; each commit after it joined is acked only
+	// once it has the commit.
+	r, err := logship.NewReplica(lvmd.SubscribeDialer(dial, 0), g.core.Arena.Size())
+	if err != nil {
+		return nil, fmt.Errorf("subscriber err=%v", err)
+	}
+	if err := r.Connect(); err != nil {
+		return nil, fmt.Errorf("subscribe err=%v", err)
+	}
+	for i := 0; i < 4 && err == nil; i++ {
+		err = cl.Commit(foSeg+uint64(i%2), g.writes(3))
+	}
+	r.Kill()
+	if err != nil {
+		return nil, fmt.Errorf("commit err=%v", err)
+	}
+	return r.Image(), nil
+}
+
+// withRig builds the failover rig for one plan and runs a scenario on
+// it. The scenario returns its outcome fields, or an error when the rig
+// itself could not go on; checks that fail are recorded with g.fail.
+func withRig(t template, plan fault.Plan, scenario func(g *foRig) (string, error)) (outcome, uint64) {
+	g, err := newFoRig(t, plan)
+	if err != nil {
+		return failf(plan, "%v", err), 0
+	}
+	defer g.ship.Close()
+	fields, err := scenario(g)
+	if err != nil {
+		return failf(plan, "%v", err), 0
+	}
+	return g.outcome(fields)
+}
+
+// depth picks a scenario's transaction count for the matrix depth.
+func depth(short bool, full, smoke int) int {
+	if short {
+		return smoke
+	}
+	return full
+}
+
+// Promotion is what one crash-during-promotion run measured.
+type Promotion struct {
+	Watermark, Head uint64        // acked records the promoted shard resumes from; the dead primary's head
+	Rolled, Fenced  uint64        // words rolled back; hellos the zombie refused
+	Epoch           uint32        // the granted epoch
+	Diffs           int           // acked words missing from the promoted image
+	Pause           time.Duration // host wall clock from the first promotion attempt to a serving lvmd.Server
+	OK              bool          // every check held
+	Fail            string        // the first failed check, when !OK
+}
+
+// crashPromotion proves the promotion handshake under fire: the primary
 // ships an acked workload plus a half-replicated transaction, writes an
 // unshipped tail and "dies"; its lease runs out, and the promotion is
 // killed at the phase the seed selects (freeze/activate are candidate-
 // side crashes, prepare/commit coordinator-side) and then resumed. The
-// verdict demands:
+// checks demand:
 //
 //   - no acked record lost: the promoted watermark equals the exact acked
 //     sequence and every acked transaction's writes survive on the
@@ -329,93 +468,77 @@ func (g *foRig) rolled() uint64 {
 //     dead primary logged but never shipped;
 //   - no split-brain: a replica of the promoted generation that dials
 //     the zombie ex-primary is refused on epoch alone;
-//   - the re-seeded primary works: Takeover from the promoted image, a
-//     fresh replica converges on it byte-identical via the snapshot
-//     catch-up.
-//
-// No wall-clock state reaches the outcome line, so both executions of a
-// plan must match byte-for-byte.
-func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	txns := 48
-	if short {
-		txns = 16
-	}
-	g, err := newFoRig(t, plan)
-	if err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	defer g.ship.Close()
+//   - the promoted image boots through lvmd.NewServer, the standby
+//     daemon's own boot call, and serves (checkBooted).
+func (g *foRig) crashPromotion(txns int) (Promotion, error) {
 	if err := g.ackedTxns(txns); err != nil {
-		return failf(plan, "%v", err), 0
+		return Promotion{}, err
 	}
 	if err := g.halfTxn(); err != nil {
-		return failf(plan, "%v", err), 0
+		return Promotion{}, err
 	}
-	watermark := g.recs
-	head := g.unshippedTail()
+	p := Promotion{Watermark: g.recs}
+	p.Head = g.unshippedTail()
 	if err := g.expire(); err != nil {
-		return failf(plan, "%v", err), 0
+		return p, err
 	}
-	boot, diffs, err := g.promote(watermark)
+	dir, err := os.MkdirTemp("", "crashtest-failover-")
 	if err != nil {
-		return failf(plan, "%v", err), 0
+		return p, fmt.Errorf("boot dir err=%v", err)
 	}
-	rolled := g.rolled()
-	fenced, err := g.probeZombie(boot.Epoch)
+	defer os.RemoveAll(dir)
+	t0 := time.Now()
+	boot, diffs, err := g.promote(p.Watermark)
 	if err != nil {
-		return failf(plan, "%v", err), 0
+		return p, err
 	}
+	// The standby daemon's serve(boot) call. SyncReplicas makes each
+	// commit ack wait for the subscribers, which is how checkBooted
+	// knows its replica has caught up.
+	srv, err := lvmd.NewServer(lvmd.ServerConfig{Dir: dir, Shards: len(boot), Boot: boot,
+		Shard: lvmd.ShardConfig{Core: foCore, SyncReplicas: true, SyncWait: releaseWait,
+			Ship: logship.Config{FlushRecords: 8}}})
+	if err != nil {
+		return p, fmt.Errorf("boot err=%v", err)
+	}
+	p.Pause = time.Since(t0)
+	ln, dial := logship.NewMemTransport()
+	srv.Serve(ln)
+	p.Epoch, p.Diffs, p.Rolled = boot[0].Epoch, diffs, g.rolled()
+	g.checkBooted(srv, dial, p.Epoch)
+	p.Fenced = g.probeZombie(p.Epoch)
+	p.OK, p.Fail = g.verdict == "RECOVERED", g.note
+	return p, nil
+}
 
-	// Re-seed a primary from the promoted image and prove a fresh replica
-	// converges on it (snapshot catch-up: its ack floor is below the
-	// watermark the new log starts at).
-	ln2, dial2 := logship.NewMemTransport()
-	pr, err := logship.Takeover(boot.Img, logship.Grant{Epoch: boot.Epoch}, watermark, ln2, logship.TakeoverConfig{
-		Disk: ramdisk.New(),
-		Ship: logship.Config{FlushRecords: 8},
-	})
-	if err != nil {
-		return failf(plan, "takeover err=%v", err), 0
-	}
-	defer pr.Ship.Close()
-	if got := pr.Ship.Epoch(); got != boot.Epoch {
-		g.fail("takeover shipper epoch=%d want %d", got, boot.Epoch)
-	}
-	for i := 0; i < 6; i++ {
-		g.seq++
-		pr.P.Store32(pr.Base, g.seq)
-		for j := 0; j < 3; j++ {
-			pr.P.Store32(pr.Base+core.Addr(g.off()), uint32(g.wr.Next()))
+// runFailover runs crashPromotion as a crash template. The pause is
+// host wall clock, so it stays out of the outcome line: both executions
+// of a plan must match byte-for-byte.
+func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
+	return withRig(t, plan, func(g *foRig) (string, error) {
+		p, err := g.crashPromotion(depth(short, 48, 16))
+		side := "coordinator"
+		if k := g.killPhase(); k == logship.PhaseFreeze || k == logship.PhaseActivate {
+			side = "candidate"
 		}
-		pr.P.Store32(pr.Base, g.seq|recovery.MarkerCommit)
-	}
-	pr.Sys.Sync()
-	if err := pr.Ship.Flush(); err != nil {
-		return failf(plan, "takeover flush err=%v", err), 0
-	}
-	r3, err := logship.NewReplica(dial2, foSegSize)
-	if err != nil {
-		return failf(plan, "converge replica err=%v", err), 0
-	}
-	r3.TrackMarkers(foMarkerLimit)
-	if err := r3.Connect(); err != nil {
-		return failf(plan, "converge connect err=%v", err), 0
-	}
-	if err := pr.Ship.ReleaseShip(releaseWait); err != nil {
-		return failf(plan, "takeover release err=%v", err), 0
-	}
-	r3.Kill()
-	if err := dsm.Verify(pr.Seg, r3.Consumer(), foSegSize); err != nil {
-		g.fail("takeover replica diverged: %v", err)
-	}
+		return fmt.Sprintf(
+			"phase=%s side=%s watermark=%d head=%d lost=%d rolled=%d epoch=%d fenced=%d diff=%d",
+			g.killPhase(), side, p.Watermark, p.Head, p.Head-p.Watermark, p.Rolled,
+			p.Epoch, p.Fenced, p.Diffs), err
+	})
+}
 
-	side := "coordinator"
-	if k := g.killPhase(); k == logship.PhaseFreeze || k == logship.PhaseActivate {
-		side = "candidate"
+// MeasurePromotion runs the crash-during-promotion scenario once for
+// the failover bench: txns acked transactions, at a fixed seed whose
+// kill lands in the freeze phase. An error means the rig could not run;
+// a failed check reads OK=false.
+func MeasurePromotion(txns int) (Promotion, error) {
+	g, err := newFoRig(template{name: "failover/bench", maxBatch: 8}, fault.Plan{Seed: 0xFA170})
+	if err != nil {
+		return Promotion{}, err
 	}
-	return g.outcome(fmt.Sprintf(
-		"phase=%s side=%s watermark=%d head=%d lost=%d rolled=%d epoch=%d fenced=%d diff=%d",
-		g.killPhase(), side, watermark, head, head-watermark, rolled, boot.Epoch, fenced, diffs))
+	defer g.ship.Close()
+	return g.crashPromotion(txns)
 }
 
 // runLeaseExpiry is runFailover's workload with the lease in the
@@ -431,30 +554,26 @@ func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
 //   - the resumed zombie is refused loudly: a promoted-generation
 //     subscriber dialing it gets ErrFenced, not a silent hangup.
 func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	txns := 48
-	if short {
-		txns = 16
-	}
-	g, err := newFoRig(t, plan)
-	if err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	defer g.ship.Close()
+	return withRig(t, plan, func(g *foRig) (string, error) { return g.leaseExpiry(depth(short, 48, 16)) })
+}
+
+func (g *foRig) leaseExpiry(txns int) (string, error) {
+	errLost := errors.New("holder lost the lease mid-workload")
 	if err := g.ackedTxns(txns); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	if !g.beat() {
-		return failf(plan, "holder lost the lease mid-workload"), 0
+		return "", errLost
 	}
 	if err := g.halfTxn(); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	watermark := g.recs
 	if !g.beat() {
-		return failf(plan, "holder lost the lease mid-workload"), 0
+		return "", errLost
 	}
 	if err := g.waitBeats(); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	head := g.unshippedTail()
 
@@ -469,7 +588,7 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	}
 	// The primary dies: no more beats, and the clock runs the TTL out.
 	if err := g.expire(); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	// Self-demotion: the resumed zombie's own holder measures the same
 	// gap on its own clock and refuses to renew, permanently.
@@ -478,16 +597,12 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	}
 	boot, diffs, err := g.promote(watermark)
 	if err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	g.rolled()
-	fenced, err := g.probeZombie(boot.Epoch)
-	if err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	return g.outcome(fmt.Sprintf(
-		"phase=%s watermark=%d head=%d lost=%d beats=%d epoch=%d fenced=%d diff=%d",
-		g.killPhase(), watermark, head, head-watermark, g.mon.Beats(), boot.Epoch, fenced, diffs))
+	fenced := g.probeZombie(boot[0].Epoch)
+	return fmt.Sprintf("phase=%s watermark=%d head=%d lost=%d beats=%d epoch=%d fenced=%d diff=%d",
+		g.killPhase(), watermark, head, head-watermark, g.mon.Beats(), boot[0].Epoch, fenced, diffs), nil
 }
 
 // runLeasePartition models the stall half of the safety argument: the
@@ -505,26 +620,21 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 //   - nothing was in flight (everything acked before the pause), so the
 //     measured loss is exactly zero.
 func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	txns := 32
-	if short {
-		txns = 12
-	}
-	g, err := newFoRig(t, plan)
-	if err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	defer g.ship.Close()
+	return withRig(t, plan, func(g *foRig) (string, error) { return g.leasePartition(depth(short, 32, 12)) })
+}
+
+func (g *foRig) leasePartition(txns int) (string, error) {
 	if err := g.ackedTxns(txns); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	// The pause: the clock advances past the TTL with no renewals. The
 	// primary process is alive the whole time — it just can't prove it.
 	if err := g.expire(); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	boot, diffs, err := g.promote(g.recs)
 	if err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 
 	// The pause heals; the old primary resumes mid-heartbeat-loop and
@@ -534,21 +644,18 @@ func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64
 	}
 	// Its late beat — queued before the pause, delivered after — must
 	// not re-arm the superseded generation's deadline.
-	g.mon.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: boot.Epoch, Seq: 1, TTL: leaseTTL})
+	g.mon.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: boot[0].Epoch, Seq: 1, TTL: leaseTTL})
 	g.mon.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 1, Seq: 99, TTL: leaseTTL})
 	if g.mon.Stale() != 1 {
 		g.fail("late zombie beat not classified stale (stale=%d)", g.mon.Stale())
 	}
-	if g.mon.Epoch() != boot.Epoch {
-		g.fail("monitor epoch=%d want the promoted %d", g.mon.Epoch(), boot.Epoch)
+	if g.mon.Epoch() != boot[0].Epoch {
+		g.fail("monitor epoch=%d want the promoted %d", g.mon.Epoch(), boot[0].Epoch)
 	}
 	// And the refused zombie is told why.
-	if _, err := g.probeZombie(boot.Epoch); err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	return g.outcome(fmt.Sprintf(
-		"phase=%s watermark=%d lost=%d stale=%d epoch=%d diff=%d",
-		g.killPhase(), g.r.LastSeq(), g.recs-g.r.LastSeq(), g.mon.Stale(), boot.Epoch, diffs))
+	g.probeZombie(boot[0].Epoch)
+	return fmt.Sprintf("phase=%s watermark=%d lost=%d stale=%d epoch=%d diff=%d",
+		g.killPhase(), g.r.LastSeq(), g.recs-g.r.LastSeq(), g.mon.Stale(), boot[0].Epoch, diffs), nil
 }
 
 // runLeaseDrop models the partition half of the safety argument — the
@@ -570,26 +677,21 @@ func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64
 //     before the cut), and the zombie's shipper refuses a
 //     promoted-generation subscriber with ErrFenced.
 func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	txns := 32
-	if short {
-		txns = 12
-	}
-	g, err := newFoRig(t, plan)
-	if err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	defer g.ship.Close()
+	return withRig(t, plan, func(g *foRig) (string, error) { return g.leaseDrop(depth(short, 32, 12)) })
+}
+
+func (g *foRig) leaseDrop(txns int) (string, error) {
 	if err := g.ackedTxns(txns); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	if err := g.waitBeats(); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 	// Pin beat 1's acknowledgement before the cut: that ack, dated by
 	// its issue tick (0), is all the evidence the cut-off holder's
 	// renewals will live on for exactly one TTL.
 	if err := g.waitAck(1); err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
 
 	// The partition: the connection dies; the renewal loop does not.
@@ -623,14 +725,11 @@ func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	}
 	boot, diffs, err := g.promote(g.recs)
 	if err != nil {
-		return failf(plan, "%v", err), 0
+		return "", err
 	}
-	if _, err := g.probeZombie(boot.Epoch); err != nil {
-		return failf(plan, "%v", err), 0
-	}
-	return g.outcome(fmt.Sprintf(
-		"phase=%s demote_step=%d watermark=%d lost=%d beats=%d epoch=%d diff=%d",
-		g.killPhase(), demoteStep, g.r.LastSeq(), g.recs-g.r.LastSeq(), g.mon.Beats(), boot.Epoch, diffs))
+	g.probeZombie(boot[0].Epoch)
+	return fmt.Sprintf("phase=%s demote_step=%d watermark=%d lost=%d beats=%d epoch=%d diff=%d",
+		g.killPhase(), demoteStep, g.r.LastSeq(), g.recs-g.r.LastSeq(), g.mon.Beats(), boot[0].Epoch, diffs), nil
 }
 
 func le32(b []byte) uint32 {

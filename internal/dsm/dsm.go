@@ -337,7 +337,7 @@ func (c *Consumer) ApplyImage(off uint32, b []byte) {
 func (c *Consumer) Word(off uint32) uint32 { return c.seg.Read32(off) }
 
 // ReadInto copies replica bytes starting at off into b — the image dump
-// a failover uses to re-seed a new primary from a surviving replica.
+// a failover boots a new primary from.
 func (c *Consumer) ReadInto(off uint32, b []byte) { c.seg.ReadInto(off, b) }
 
 func le32(b []byte) uint32 {

@@ -1,14 +1,6 @@
 package logship
 
-import (
-	"fmt"
-	"net"
-
-	"lvm/internal/compact"
-	"lvm/internal/core"
-	"lvm/internal/logrec"
-	"lvm/internal/ramdisk"
-)
+import "fmt"
 
 // Promotion turns a surviving replica into the primary at its acked
 // watermark. The coordinator state (Authority) is tiny and durable by
@@ -105,20 +97,16 @@ type PromoteResult struct {
 	Grant      Grant
 	Watermark  uint64 // acked sequence the new primary serves from
 	RolledBack int    // words undone to reach the last transaction boundary
-	// Lost is the bounded data loss: records between the watermark and
-	// the dead primary's head (deadHead), i.e. writes the dead primary
-	// logged but never got acknowledged by this replica.
-	Lost uint64
 }
 
 // Promote runs the promotion state machine over replica r: freeze (end
 // the session, roll half-replicated transaction state back to the last
 // commit marker), prepare and commit a grant with a bumped epoch, then
 // activate (teach the replica the granted generation so every session it
-// opens from now on fences the zombie). deadHead is the dead primary's
-// last known head sequence; the difference to the watermark is the
-// measured loss bound. Safe to call again after a crash at any phase.
-func Promote(a *Authority, r *Replica, cand string, deadHead uint64, hooks PromoteHooks) (PromoteResult, error) {
+// opens from now on fences the zombie). Safe to call again after a
+// crash at any phase. The loss bound is the dead primary's head minus
+// Watermark; only a caller that knows the head can compute it.
+func Promote(a *Authority, r *Replica, cand string, hooks PromoteHooks) (PromoteResult, error) {
 	after := hooks.After
 	if after == nil {
 		after = func(string) error { return nil }
@@ -147,92 +135,5 @@ func Promote(a *Authority, r *Replica, cand string, deadHead uint64, hooks Promo
 	if err := after(PhaseActivate); err != nil {
 		return PromoteResult{}, err
 	}
-	res := PromoteResult{Grant: g, Watermark: r.LastSeq(), RolledBack: rolled}
-	if deadHead > res.Watermark {
-		res.Lost = deadHead - res.Watermark
-	}
-	return res, nil
-}
-
-// TakeoverConfig configures the re-seeding of a primary from a promoted
-// replica image.
-type TakeoverConfig struct {
-	// LogPages sizes the new primary's hardware log (default 256).
-	LogPages uint32
-	// Disk/DiskBase locate the new primary's checkpoint area; Disk is
-	// required (the first act of a promoted primary is a checkpoint, so
-	// its own crash recovers the promoted state, not nothing).
-	Disk     ramdisk.Device
-	DiskBase uint64
-	// Ship tunes the new primary's shipper; Epoch and StartSeq are
-	// overwritten from the grant and watermark.
-	Ship Config
-}
-
-// Primary is a re-seeded producer: a fresh System whose segment holds
-// the promoted image, with a compact.Manager continuing the timeline at
-// the watermark and a Shipper serving the granted epoch.
-type Primary struct {
-	Sys    *core.System
-	Seg    *core.Segment
-	LogSeg *core.Segment
-	P      *core.Process
-	Base   core.Addr
-	Mgr    *compact.Manager
-	Ship   *Shipper
-}
-
-// Takeover builds the new primary from a promoted replica image: the
-// image lands raw in a fresh logged segment, a compact.Manager is seeded
-// with the watermark as its cut base and immediately checkpoints (making
-// the promoted state durable before the first client write), and a
-// shipper starts at the watermark under the granted epoch — a replica of
-// the old primary that connects resumes exactly where its acks left off;
-// anything behind the watermark is caught up by snapshot.
-func Takeover(img []byte, g Grant, watermark uint64, ln net.Listener, cfg TakeoverConfig) (*Primary, error) {
-	if cfg.Disk == nil {
-		return nil, fmt.Errorf("logship: takeover needs a checkpoint device")
-	}
-	if cfg.LogPages == 0 {
-		cfg.LogPages = 256
-	}
-	size := uint32(len(img))
-	pages := (size + core.PageSize - 1) / core.PageSize
-	sys := core.NewSystem(core.Config{
-		NumCPUs:   1,
-		MemFrames: int(pages) + int(cfg.LogPages) + 64,
-	})
-	seg := core.NewNamedSegment(sys, "promoted", size, nil)
-	reg := core.NewStdRegion(sys, seg)
-	ls := core.NewLogSegment(sys, cfg.LogPages)
-	if err := reg.Log(ls); err != nil {
-		return nil, fmt.Errorf("logship: takeover log binding: %w", err)
-	}
-	as := sys.NewAddressSpace()
-	base, err := reg.Bind(as, 0)
-	if err != nil {
-		return nil, fmt.Errorf("logship: takeover binding: %w", err)
-	}
-	seg.RawWrite(0, img)
-	shipCfg := cfg.Ship
-	shipCfg.Epoch = g.Epoch
-	shipCfg.StartSeq = watermark
-	ship := NewShipper(sys, seg, ls, ln, shipCfg)
-	mgr, err := compact.New(sys, compact.Options{
-		Data: seg, Log: ls, Disk: cfg.Disk, DiskBase: cfg.DiskBase,
-		Ship: ship, CutBase: watermark * logrec.Size, Epoch: g.Epoch,
-	})
-	if err != nil {
-		ship.Close()
-		return nil, err
-	}
-	if err := mgr.Checkpoint(nil); err != nil {
-		ship.Close()
-		return nil, fmt.Errorf("logship: takeover checkpoint: %w", err)
-	}
-	return &Primary{
-		Sys: sys, Seg: seg, LogSeg: ls,
-		P: sys.NewProcess(0, as), Base: base,
-		Mgr: mgr, Ship: ship,
-	}, nil
+	return PromoteResult{Grant: g, Watermark: r.LastSeq(), RolledBack: rolled}, nil
 }

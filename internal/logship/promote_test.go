@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lvm/internal/dsm"
-	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
 )
 
@@ -118,15 +117,12 @@ func TestPromoteZeroTail(t *testing.T) {
 	}
 
 	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
+	res, err := Promote(a, r, "standby", PromoteHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Watermark != w.recs {
-		t.Fatalf("watermark = %d, want head %d", res.Watermark, w.recs)
-	}
-	if res.Lost != 0 {
-		t.Fatalf("lost = %d, want 0 (zero unshipped tail)", res.Lost)
+		t.Fatalf("watermark = %d, want head %d (zero loss)", res.Watermark, w.recs)
 	}
 	if res.RolledBack != 0 {
 		t.Fatalf("rolled back %d words, want 0 (no open transaction)", res.RolledBack)
@@ -169,7 +165,7 @@ func TestPromoteRollsBackOpenTxn(t *testing.T) {
 	}
 
 	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
+	res, err := Promote(a, r, "standby", PromoteHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +183,8 @@ func TestPromoteRollsBackOpenTxn(t *testing.T) {
 // TestPromoteAckAtCompactionCut promotes at a watermark that sits
 // exactly on a compaction cut: every acked record has been cut from the
 // physical log, so the logical sequence numbering (base + offset) is
-// the only thing carrying the watermark forward. The takeover primary
-// must serve from it and catch a fresh replica up by snapshot.
+// the only thing carrying the watermark forward. A shipper re-seeded at
+// the grant must serve from it and catch a fresh replica up by snapshot.
 func TestPromoteAckAtCompactionCut(t *testing.T) {
 	ln, dial := NewMemTransport()
 	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8})
@@ -211,42 +207,31 @@ func TestPromoteAckAtCompactionCut(t *testing.T) {
 	}
 
 	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
+	res, err := Promote(a, r, "standby", PromoteHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Watermark != w.recs || res.Lost != 0 {
-		t.Fatalf("watermark=%d lost=%d, want %d and 0", res.Watermark, res.Lost, w.recs)
+	if res.Watermark != w.recs {
+		t.Fatalf("watermark=%d, want the head %d", res.Watermark, w.recs)
 	}
 
 	ln2, dial2 := NewMemTransport()
-	pr, err := Takeover(r.Image(), res.Grant, res.Watermark, ln2, TakeoverConfig{
-		Disk: ramdisk.New(),
-		Ship: Config{FlushRecords: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Ship.Close()
-	if got := pr.Ship.SealedSeq(); got != w.recs {
-		t.Fatalf("takeover shipper starts at seq %d, want watermark %d", got, w.recs)
+	ship2, w2 := promotedPrimary(t, ln2, r, res, w.seq)
+	if got, base := ship2.SealedSeq(), ship2.Base(); got != w.recs || base != w.recs {
+		t.Fatalf("promoted shipper starts at seq %d base %d, want watermark %d", got, base, w.recs)
 	}
 
 	// A fresh replica (cursor far below the cut) converges by snapshot.
 	r2 := connectReplica(t, dial2)
 	r2.TrackMarkers(markerLimit)
 	for i := 0; i < 4; i++ {
-		w.seq++
-		pr.P.Store32(pr.Base, w.seq)
-		pr.P.Store32(pr.Base+markerLimit, 0xF00D0000+w.seq)
-		pr.P.Store32(pr.Base, w.seq|recovery.MarkerCommit)
+		w2.commit(1)
 	}
-	pr.Sys.Sync()
-	if err := pr.Ship.ReleaseShip(5 * time.Second); err != nil {
+	if err := ship2.ReleaseShip(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	r2.Kill()
-	if err := dsm.Verify(pr.Seg, r2.Consumer(), shared); err != nil {
+	if err := dsm.Verify(w2.prod.Segment(), r2.Consumer(), shared); err != nil {
 		t.Fatalf("fresh replica did not converge on the promoted primary: %v", err)
 	}
 	if got := r2.Stats.SnapshotsApplied.Load(); got == 0 {
@@ -254,11 +239,23 @@ func TestPromoteAckAtCompactionCut(t *testing.T) {
 	}
 }
 
+// promotedPrimary seeds a producer with the promoted replica's image and
+// serves it through a plain shipper at the grant: epoch res.Grant.Epoch,
+// logical cursor at res.Watermark. It returns the shipper and a writer
+// that resumes the transaction sequence at seq.
+func promotedPrimary(t *testing.T, ln net.Listener, r *Replica, res PromoteResult, seq uint32) (*Shipper, *txnWriter) {
+	t.Helper()
+	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8, Epoch: res.Grant.Epoch, StartSeq: res.Watermark})
+	prod.Segment().RawWrite(0, r.Image())
+	return ship, &txnWriter{prod: prod, seq: seq}
+}
+
 // TestPromoteLaggardCandidate promotes a candidate whose ack trails the
 // other replica's (the laggard wins the promotion because the leader
-// died too): the loss bound is exactly head − candidate watermark, and
-// the better-replicated survivor must discard its unacked suffix by
-// resyncing under the granted epoch.
+// died too): the watermark is the candidate's own ack, and the
+// better-replicated survivor must discard its unacked suffix by
+// resyncing under the granted epoch with a shipper re-seeded at the
+// grant.
 func TestPromoteLaggardCandidate(t *testing.T) {
 	ln, dial := NewMemTransport()
 	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8})
@@ -295,26 +292,17 @@ func TestPromoteLaggardCandidate(t *testing.T) {
 	}
 
 	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, cand, "laggard", head, PromoteHooks{})
+	res, err := Promote(a, cand, "laggard", PromoteHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Watermark != candMark {
 		t.Fatalf("watermark = %d, want the candidate's ack %d", res.Watermark, candMark)
 	}
-	if res.Lost != head-candMark {
-		t.Fatalf("lost = %d, want head-watermark = %d", res.Lost, head-candMark)
-	}
-
+	// The loss bound is head − candMark: records only the survivor
+	// acknowledged, which the promoted timeline never holds.
 	ln2, dial2 := NewMemTransport()
-	pr, err := Takeover(cand.Image(), res.Grant, res.Watermark, ln2, TakeoverConfig{
-		Disk: ramdisk.New(),
-		Ship: Config{FlushRecords: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Ship.Close()
+	ship2, w2 := promotedPrimary(t, ln2, cand, res, w.seq)
 
 	// The survivor reconnects to the new primary. Its cursor is AHEAD of
 	// the promoted watermark under a dead epoch, so the welcome forces a
@@ -324,17 +312,13 @@ func TestPromoteLaggardCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		w.seq++
-		pr.P.Store32(pr.Base, w.seq)
-		pr.P.Store32(pr.Base+markerLimit, 0xF00D0000+w.seq)
-		pr.P.Store32(pr.Base, w.seq|recovery.MarkerCommit)
+		w2.commit(1)
 	}
-	pr.Sys.Sync()
-	if err := pr.Ship.ReleaseShip(5 * time.Second); err != nil {
+	if err := ship2.ReleaseShip(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ahead.Kill()
-	if err := dsm.Verify(pr.Seg, ahead.Consumer(), shared); err != nil {
+	if err := dsm.Verify(w2.prod.Segment(), ahead.Consumer(), shared); err != nil {
 		t.Fatalf("survivor did not converge on the promoted timeline: %v", err)
 	}
 	if got := ahead.Epoch(); got != res.Grant.Epoch {
@@ -362,7 +346,7 @@ func TestPromoteResumesAfterCoordinatorCrash(t *testing.T) {
 
 	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
 	boom := errors.New("coordinator crash")
-	_, err := Promote(a, r, "standby", w.recs, PromoteHooks{
+	_, err := Promote(a, r, "standby", PromoteHooks{
 		After: func(phase string) error {
 			if phase == PhaseCommit {
 				return boom
@@ -374,15 +358,15 @@ func TestPromoteResumesAfterCoordinatorCrash(t *testing.T) {
 		t.Fatalf("crash hook did not abort the promotion: %v", err)
 	}
 
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
+	res, err := Promote(a, r, "standby", PromoteHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Validate(res.Grant) {
 		t.Fatal("resumed promotion's grant must validate")
 	}
-	if res.Watermark != w.recs || res.Lost != 0 {
-		t.Fatalf("resumed watermark=%d lost=%d, want %d and 0", res.Watermark, res.Lost, w.recs)
+	if res.Watermark != w.recs {
+		t.Fatalf("resumed watermark=%d, want %d", res.Watermark, w.recs)
 	}
 	if got := r.Epoch(); got != res.Grant.Epoch {
 		t.Fatalf("replica epoch = %d, want %d", got, res.Grant.Epoch)

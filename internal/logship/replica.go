@@ -399,8 +399,8 @@ func (r *Replica) Rollback() (int, error) {
 	return n, nil
 }
 
-// Image dumps the replica segment — the state a promotion re-seeds the
-// new primary from. Call only while disconnected, after Rollback if the
+// Image dumps the replica segment — the state a promotion boots the new
+// primary from. Call only while disconnected, after Rollback if the
 // segment follows the marker protocol.
 func (r *Replica) Image() []byte {
 	<-r.done

@@ -344,6 +344,10 @@ func (c *ShardCore) SetShipper(s compact.Shipper) { c.ship.ext = s }
 // Seq reports the last issued transaction sequence.
 func (c *ShardCore) Seq() uint32 { return c.seq }
 
+// Base reports the arena's address in P's address space: word 0 is the
+// marker word.
+func (c *ShardCore) Base() core.Addr { return c.base }
+
 // Segments reports how many tenant segments are open.
 func (c *ShardCore) Segments() int { return len(c.slots) }
 

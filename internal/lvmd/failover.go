@@ -82,7 +82,7 @@ func (f *Failover) Promote(hooks logship.PromoteHooks) ([]BootShard, error) {
 		if e := max(s.rep.Epoch(), s.mon.Epoch()); s.auth.Cur.Epoch < e {
 			s.auth.Cur = logship.Grant{Epoch: e}
 		}
-		res, err := logship.Promote(&s.auth, s.rep, fmt.Sprintf("standby-%d", i), 0, hooks)
+		res, err := logship.Promote(&s.auth, s.rep, fmt.Sprintf("standby-%d", i), hooks)
 		if err != nil {
 			return nil, fmt.Errorf("lvmd: shard %d promotion: %w", i, err)
 		}

@@ -68,9 +68,6 @@ func (c *ShardCore) TakeDelta() []Write {
 	return d
 }
 
-// CaptureLag reports the captured writes not yet taken.
-func (c *ShardCore) CaptureLag() int { return len(c.captureBuf) }
-
 // StopCapture ends the capture.
 func (c *ShardCore) StopCapture() {
 	c.captureID = 0
@@ -165,13 +162,6 @@ func (c *ShardCore) Activate(segID uint64) error {
 	c.P.Store32(c.base, c.seq|recovery.MarkerCommit) // commit
 	delete(c.receiving, segID)
 	return nil
-}
-
-// DirEntryInfo decodes a raw slot-directory entry into its segment ID
-// and migration marks — for crash tooling that inspects recovered
-// directory images without booting a core.
-func DirEntryInfo(e uint64) (segID uint64, moved, receiving bool) {
-	return e &^ dirFlagMask, e&movedBit != 0, e&receivingBit != 0
 }
 
 // Moved reports whether segID's tombstone is on this shard.

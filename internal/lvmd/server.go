@@ -30,9 +30,12 @@ type ServerConfig struct {
 	// the connection, PolicyDrop kills immediately.
 	Policy       logship.Policy
 	StallTimeout time.Duration
-	// MaxTxnStores bounds a session's buffered stores per segment
-	// (default 1024); WriteQueue the outbound frames queued per session
-	// (default 256).
+	// MaxTxnStores bounds the stores a session holds buffered awaiting
+	// their commits, summed over every segment (default 1024): a session
+	// that goes past it is a bad frame and is disconnected. lvmd.Client
+	// sends each transaction's stores and its commit back to back, so it
+	// holds one segment's stores at a time. WriteQueue bounds the
+	// outbound frames queued per session (default 256).
 	MaxTxnStores int
 	WriteQueue   int
 	// IdleTimeout is the per-session read deadline, refreshed before
@@ -412,7 +415,7 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}
 
-	pending := make(map[uint64][]Write)
+	pending := &txnBuf{bySeg: make(map[uint64][]Write)}
 	r := bufio.NewReader(conn)
 	for {
 		if err := s.handleFrame(conn, typ, payload, pending, send); err != nil {
@@ -446,8 +449,15 @@ func (s *Server) stall() time.Duration {
 	return s.cfg.StallTimeout
 }
 
+// txnBuf is a session's stores awaiting their commits, by segment; n
+// counts them all against MaxTxnStores.
+type txnBuf struct {
+	bySeg map[uint64][]Write
+	n     int
+}
+
 func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte,
-	pending map[uint64][]Write, send func(byte, []byte)) error {
+	pending *txnBuf, send func(byte, []byte)) error {
 	draining := s.draining.Load()
 	switch typ {
 	case logship.FrameOpen:
@@ -471,20 +481,21 @@ func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte,
 			s.badFrames.Add(1)
 			return err
 		}
-		buf := pending[st.segID]
-		if len(buf) >= s.cfg.MaxTxnStores {
+		if pending.n >= s.cfg.MaxTxnStores {
 			s.badFrames.Add(1)
-			return fmt.Errorf("lvmd: transaction exceeds %d stores", s.cfg.MaxTxnStores)
+			return fmt.Errorf("lvmd: session buffers more than %d uncommitted stores", s.cfg.MaxTxnStores)
 		}
-		pending[st.segID] = append(buf, Write{Off: st.off, Val: st.val})
+		pending.bySeg[st.segID] = append(pending.bySeg[st.segID], Write{Off: st.off, Val: st.val})
+		pending.n++
 	case logship.FrameCommit:
 		cr, err := decodeCommit(payload)
 		if err != nil {
 			s.badFrames.Add(1)
 			return err
 		}
-		writes := pending[cr.segID]
-		delete(pending, cr.segID)
+		writes := pending.bySeg[cr.segID]
+		delete(pending.bySeg, cr.segID)
+		pending.n -= len(writes)
 		if draining {
 			s.refused.Add(1)
 			send(logship.FrameCommitResp, encodeCommitResp(commitResp{

@@ -192,3 +192,40 @@ func TestServerStatsFrame(t *testing.T) {
 		t.Fatalf("stats: %+v", hs)
 	}
 }
+
+// TestServerBoundsBufferedStores pins MaxTxnStores as a session-wide
+// bound: stores spread over ever-new segments that never commit count
+// together. A session holding exactly the limit still serves; one more
+// store is a bad frame and the connection is closed.
+func TestServerBoundsBufferedStores(t *testing.T) {
+	const limit = 8
+	srv, err := NewServer(ServerConfig{Dir: t.TempDir(), Shards: 1, MaxTxnStores: limit,
+		Shard: ShardConfig{Core: CoreConfig{Slots: 16, SlotSize: 512, LogPages: 32}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ln, dial := logship.NewMemTransport()
+	srv.Serve(ln)
+	cl, err := DialClient(dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for seg := uint64(1); seg <= limit+1; seg++ {
+		if seg == limit+1 {
+			if _, err := cl.Stats(); err != nil {
+				t.Fatalf("session at the limit was dropped: %v", err)
+			}
+		}
+		if _, err := cl.conn.Write(logship.EncodeFrame(logship.FrameStore, encodeStore(storeReq{segID: seg, val: 1}))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Stats(); err == nil {
+		t.Fatal("session past the limit still served")
+	}
+	if got := srv.Stats().BadFrames; got != 1 {
+		t.Fatalf("bad_frames = %d, want 1", got)
+	}
+}
